@@ -24,6 +24,13 @@
 //! (`ring-trace`) can treat images as opaque words. Capture uses only
 //! uncounted reads (`peek`), so taking a checkpoint never perturbs the
 //! run being recorded.
+//!
+//! A [`MachineCheckpoint`] is the in-process form of the same snapshot
+//! (the fleet supervisor's restart point). It shares the encoder for
+//! everything but memory, which it keeps as a [`PhysMem`] clone: for a
+//! copy-on-write machine that is the shared base image plus copies of
+//! the dirty pages only, so capture costs O(dirty pages) and a restore
+//! goes on sharing the boot image.
 
 use ring_core::access::{AccessMode, Fault, Violation};
 use ring_core::addr::{AbsAddr, SegAddr, SegNo, WordNo};
@@ -32,6 +39,7 @@ use ring_core::ring::Ring;
 use ring_core::sdw::Sdw;
 use ring_core::word::Word;
 use ring_segmem::sdw_cache::SdwCacheState;
+use ring_segmem::PhysMem;
 
 use crate::machine::{ExecStats, Machine};
 
@@ -60,6 +68,16 @@ impl MachineImage {
     pub fn words(&self) -> &[u64] {
         &self.words
     }
+}
+
+/// A restartable in-process snapshot: the [`MachineImage`] encoding of
+/// everything but memory, plus a clone of physical memory (traffic
+/// counters, poison and high-water mark included).
+#[derive(Debug, Clone)]
+pub struct MachineCheckpoint {
+    /// The image encoding with an empty sparse-memory section.
+    state: MachineImage,
+    phys: PhysMem,
 }
 
 /// Packs a two-part address into one image word.
@@ -215,6 +233,25 @@ impl Machine {
     /// machine (so a recorder can checkpoint mid-run without changing
     /// the run).
     pub fn capture_image(&self) -> MachineImage {
+        MachineImage {
+            words: self.encode(true),
+        }
+    }
+
+    /// Captures a [`MachineCheckpoint`]: like [`Machine::capture_image`],
+    /// but memory is cloned page-wise instead of encoded word by word.
+    pub fn checkpoint(&self) -> MachineCheckpoint {
+        MachineCheckpoint {
+            state: MachineImage {
+                words: self.encode(false),
+            },
+            phys: self.phys.clone(),
+        }
+    }
+
+    /// The image encoding; the sparse-memory section lists the nonzero
+    /// words only when `sparse_memory` is set, and is empty otherwise.
+    fn encode(&self, sparse_memory: bool) -> Vec<u64> {
         let mut w: Vec<u64> = Vec::new();
         w.push(MAGIC);
         w.push(VERSION);
@@ -263,7 +300,11 @@ impl Machine {
         w.push(self.phys.read_count());
         w.push(self.phys.write_count());
         w.push(self.phys.size() as u64);
-        let nonzero = self.phys.nonzero_words();
+        let nonzero = if sparse_memory {
+            self.phys.nonzero_words()
+        } else {
+            Vec::new()
+        };
         w.push(nonzero.len() as u64);
         for (abs, word) in nonzero {
             w.push(u64::from(abs));
@@ -315,7 +356,7 @@ impl Machine {
             w.push(u64::from(lo));
             w.push(u64::from(hi));
         }
-        MachineImage { words: w }
+        w
     }
 
     /// Restores an image captured by [`Machine::capture_image`].
@@ -326,10 +367,21 @@ impl Machine {
     /// The fast-path TLB and instruction cache restart cold, which is
     /// architecturally invisible.
     pub fn restore_image(&mut self, image: &MachineImage) -> Result<(), String> {
-        let mut r = Reader {
-            words: &image.words,
-            pos: 0,
-        };
+        self.decode(&image.words, None)
+    }
+
+    /// Restores a checkpoint taken by [`Machine::checkpoint`]. Memory
+    /// comes back as the checkpoint's clone, so a copy-on-write machine
+    /// stays copy-on-write over the same shared base. Configuration
+    /// mismatches are errors, as for [`Machine::restore_image`].
+    pub fn restore_checkpoint(&mut self, ck: &MachineCheckpoint) -> Result<(), String> {
+        self.decode(&ck.state.words, Some(&ck.phys))
+    }
+
+    /// Decodes and applies an image encoding. With `phys` given, memory
+    /// is that clone; otherwise it is rebuilt from the sparse section.
+    fn decode(&mut self, words: &[u64], phys: Option<&PhysMem>) -> Result<(), String> {
+        let mut r = Reader { words, pos: 0 };
         if r.take()? != MAGIC {
             return Err("not a machine image".to_string());
         }
@@ -417,7 +469,7 @@ impl Machine {
             let hi = r.take()? as u32;
             chaos_protect.push((lo, hi));
         }
-        if r.pos != image.words.len() {
+        if r.pos != words.len() {
             return Err("trailing data in machine image".to_string());
         }
         let last_fault = if flags & 32 != 0 {
@@ -462,11 +514,16 @@ impl Machine {
             native_calls: stats_words[8],
             fast_steps: stats_words[9],
         };
-        self.phys.zero_all();
-        for (abs, word) in mem {
-            self.phys
-                .poke(AbsAddr::from_bits(u64::from(abs)), word)
-                .expect("bounds pre-checked");
+        match phys {
+            Some(phys) => self.phys = phys.clone(),
+            None => {
+                self.phys.zero_all();
+                for (abs, word) in mem {
+                    self.phys
+                        .poke(AbsAddr::from_bits(u64::from(abs)), word)
+                        .expect("bounds pre-checked");
+                }
+            }
         }
         self.phys.restore_counters(reads, writes);
         self.phys.restore_chaos_state(&poison, repaired, high_water);

@@ -42,7 +42,7 @@ pub mod testkit;
 pub mod trace;
 pub mod trap;
 
-pub use image::MachineImage;
+pub use image::{MachineCheckpoint, MachineImage};
 pub use io::{Direction, IoSystem, TtyDevice};
 pub use isa::{AddrMode, Instr, Opcode, OperandUse};
 pub use machine::{CostModel, ExecStats, Machine, MachineConfig, RunExit, StepOutcome};

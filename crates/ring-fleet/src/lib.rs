@@ -225,8 +225,9 @@ pub struct MachineResult {
     /// the health criterion: recovery may confine (kill) a damaged
     /// process, making `completed` false on a perfectly healthy halt.
     pub halted: bool,
-    /// Copy-on-write pages this machine dirtied (0 on flat boots;
-    /// large after a checkpoint restart, which detaches the image).
+    /// Copy-on-write pages this machine dirtied (0 on flat boots). A
+    /// checkpoint restart restores the overlay as it was, so restarted
+    /// members keep sharing the image.
     pub dirty_pages: u32,
     /// The machine's full observability snapshot.
     pub snapshot: MetricsSnapshot,
@@ -295,7 +296,7 @@ pub(crate) fn install_workload(
 
 /// Whether this fleet's machines need the supervisor's slicing and
 /// checkpoint machinery at all; a chaos-free fleet takes the plain
-/// single-run path (no checkpoint clones, no CoW-detaching restores).
+/// single-run path (no slicing, no checkpoints).
 fn supervised(cfg: &FleetConfig) -> bool {
     cfg.supervisor.chaos.is_some() || cfg.supervisor.kill_machine.is_some()
 }

@@ -5,7 +5,8 @@
 
 use ring_fleet::report::HealthReport;
 use ring_fleet::{
-    run_fleet, ChaosParams, FailureClass, FleetConfig, SupervisorConfig, WorkloadMix,
+    build_image, run_fleet, run_member, run_standalone, ChaosParams, FailureClass, FleetConfig,
+    SupervisorConfig, WorkloadMix,
 };
 
 /// A fleet whose instruction budget is far too small to finish: every
@@ -39,7 +40,18 @@ fn exhausted_restart_budget_quarantines_deterministically() {
         ..doomed_fleet()
     });
     assert!(a.member_errors.is_empty());
+    let image_pages = a.image_words.div_ceil(ring_segmem::COW_PAGE_WORDS) as u64;
     for m in &a.machines {
+        // A restart restores copy-on-write memory, so a restarted
+        // member still reports its own dirty pages and still shares
+        // almost all of the boot image.
+        assert!(
+            m.dirty_pages > 0 && u64::from(m.dirty_pages) <= image_pages / 4,
+            "machine {} reports {}/{} dirty pages after restarts",
+            m.spec.id,
+            m.dirty_pages,
+            image_pages
+        );
         // Every attempt gets a fresh instruction budget from the last
         // checkpoint, so a doomed machine either ratchets its way to a
         // clean halt across restarts or burns the whole restart budget
@@ -98,6 +110,31 @@ fn exhausted_restart_budget_quarantines_deterministically() {
         healthy.to_json(),
         "quarantined machines must never reach the healthy merge"
     );
+}
+
+#[test]
+fn restarted_member_is_bit_identical_to_standalone_flat_run() {
+    // Every doomed machine restarts from mid-run checkpoints; restoring
+    // them over the shared copy-on-write image must be architecturally
+    // invisible next to the same restarts on a private flat memory.
+    let cfg = doomed_fleet();
+    for id in 0..cfg.machines {
+        let spec = cfg.spec(id);
+        let member = run_member(&build_image(&cfg, spec.kind), &cfg, spec);
+        let standalone = run_standalone(&cfg, spec);
+        assert_eq!(member.health.restarts, 2, "machine {id} never restarted");
+        assert_eq!(member.instructions, standalone.instructions);
+        assert_eq!(member.cycles, standalone.cycles);
+        assert_eq!(member.health.restarts, standalone.health.restarts);
+        assert_eq!(member.health.failures, standalone.health.failures);
+        assert_eq!(member.health.quarantined, standalone.health.quarantined);
+        assert_eq!(
+            member.snapshot.to_json(),
+            standalone.snapshot.to_json(),
+            "machine {id}: restarts over the shared image must be invisible"
+        );
+        assert_eq!(standalone.dirty_pages, 0, "flat memory has no overlay");
+    }
 }
 
 #[test]

@@ -103,8 +103,10 @@ impl BootImage {
     }
 }
 
-/// A restartable world snapshot: the machine's architectural image
-/// plus the supervisor's host-side state and the metrics recorder.
+/// A restartable world snapshot: the machine's architectural state
+/// ([`ring_cpu::MachineCheckpoint`]) plus the supervisor's host-side
+/// state (kernel tables and the physical allocator) and the metrics
+/// recorder.
 ///
 /// This is the unit of the fleet supervisor's self-healing loop: a
 /// machine that wedges, double-faults, or fails its post-recovery
@@ -113,8 +115,9 @@ impl BootImage {
 /// since everything influencing execution is inside the snapshot.
 #[derive(Clone)]
 pub struct SystemCheckpoint {
-    image: ring_cpu::MachineImage,
+    machine: ring_cpu::MachineCheckpoint,
     os: OsState,
+    alloc: PhysAllocator,
     metrics: ring_metrics::Metrics,
     /// Simulated cycles at capture (restart bookkeeping: cycles lost
     /// to a rewind are `failure_cycles - checkpoint.cycles`).
@@ -158,14 +161,16 @@ impl System {
         )
     }
 
-    /// Captures this system's physical memory as a shared read-only
-    /// [`BootImage`]. Freeze after world building and workload
+    /// Turns this system's physical memory into a shared read-only
+    /// [`BootImage`], consuming the system (its memory becomes the
+    /// image without a copy). Freeze after world building and workload
     /// installation, before any execution, so clones replay from the
     /// exact installed state.
-    pub fn freeze(&self) -> BootImage {
+    pub fn freeze(mut self) -> BootImage {
+        let phys = std::mem::replace(self.machine.phys_mut(), ring_segmem::PhysMem::new(0));
         BootImage {
             cfg: self.cfg,
-            base: self.machine.phys().freeze_base(),
+            base: phys.freeze_base(),
         }
     }
 
@@ -413,33 +418,40 @@ impl System {
         crate::invariants::check(&self.machine, &self.state.borrow())
     }
 
-    /// Captures the complete simulated world — machine image (v2:
-    /// registers, memory, I/O, chaos state), the supervisor's host-side
-    /// state, and the metrics recorder — as a restartable checkpoint.
+    /// Captures the complete simulated world — machine state
+    /// (registers, memory, I/O, chaos state), the supervisor's host-side
+    /// state and physical allocator, and the metrics recorder — as a
+    /// restartable checkpoint.
     ///
     /// Capture is uncounted and read-only: taking a checkpoint never
     /// perturbs the run (the fleet supervisor checkpoints on a cycle
-    /// cadence mid-execution).
+    /// cadence mid-execution). Memory is cloned page-wise, so the cost
+    /// is O(dirty pages) on a copy-on-write boot.
     pub fn checkpoint(&self) -> SystemCheckpoint {
         SystemCheckpoint {
-            image: self.machine.capture_image(),
+            machine: self.machine.checkpoint(),
             os: self.state.borrow().clone(),
+            alloc: self.alloc.borrow().clone(),
             metrics: self.machine.metrics().clone(),
             cycles: self.machine.cycles(),
         }
     }
 
-    /// Rewinds the world to `ck`: machine image, supervisor state, and
-    /// metrics recorder all restored exactly as captured. The system
-    /// must have been built with the same configuration that produced
-    /// the checkpoint.
+    /// Rewinds the world to `ck`: machine state, supervisor state,
+    /// physical allocator and metrics recorder all restored exactly as
+    /// captured. The system must have been built with the same
+    /// configuration that produced the checkpoint; a mismatch (such as
+    /// a different `phys_words`) is an error and leaves the system
+    /// untouched.
     ///
-    /// Restoring detaches a copy-on-write boot from its shared image
-    /// (memory is rematerialized privately), which is architecturally
-    /// invisible but shows up as dirty pages.
+    /// Memory comes back as the checkpoint's clone. A checkpoint of a
+    /// copy-on-write boot therefore restores as the same shared base
+    /// plus its dirty pages: the restored machine reports exactly the
+    /// dirty pages it had at capture and goes on sharing the boot image.
     pub fn restore_checkpoint(&mut self, ck: &SystemCheckpoint) -> Result<(), String> {
-        self.machine.restore_image(&ck.image)?;
+        self.machine.restore_checkpoint(&ck.machine)?;
         *self.state.borrow_mut() = ck.os.clone();
+        *self.alloc.borrow_mut() = ck.alloc.clone();
         *self.machine.metrics_mut() = ck.metrics.clone();
         Ok(())
     }

@@ -44,12 +44,10 @@ impl System {
         let out = ring_asm::assemble(source).expect("assembly");
         let words = out.len().max(1);
         let base = self.alloc.borrow_mut().alloc(words).expect("code storage");
-        for (i, w) in out.words.iter().enumerate() {
-            self.machine
-                .phys_mut()
-                .poke(base.wrapping_add(i as u32), *w)
-                .expect("code poke");
-        }
+        self.machine
+            .phys_mut()
+            .poke_block(base, &out.words)
+            .expect("code poke");
         let sdw = SdwBuilder::procedure(ring, ring, r3)
             .gates(gates)
             .addr(base)
@@ -82,12 +80,10 @@ impl System {
     ) -> Staged {
         let words = (data.len() as u32).max(min_words).max(1);
         let base = self.alloc.borrow_mut().alloc(words).expect("data storage");
-        for (i, w) in data.iter().enumerate() {
-            self.machine
-                .phys_mut()
-                .poke(base.wrapping_add(i as u32), *w)
-                .expect("data poke");
-        }
+        self.machine
+            .phys_mut()
+            .poke_block(base, data)
+            .expect("data poke");
         let sdw = SdwBuilder::data(r1, r2)
             .addr(base)
             .bound_words(words)

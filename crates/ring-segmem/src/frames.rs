@@ -236,13 +236,8 @@ pub fn sweep_out(
     page_words: usize,
 ) -> Result<Vec<Word>, Fault> {
     let base = frame as usize * page_words;
-    let mut words = Vec::with_capacity(page_words);
-    for i in 0..page_words {
-        let addr = AbsAddr::new((base + i) as u32).ok_or(Fault::PhysicalBounds {
-            abs: (base + i) as u32,
-        })?;
-        words.push(phys.peek(addr)?);
-    }
+    let start = AbsAddr::new(base as u32).ok_or(Fault::PhysicalBounds { abs: base as u32 })?;
+    let words = phys.peek_block(start, page_words)?;
     phys.poke(victim.owner.ptw_addr, Ptw::MISSING.pack())?;
     Ok(words)
 }

@@ -13,6 +13,11 @@
 //! machines booted from one frozen image therefore shares almost all
 //! of its storage — each machine pays only for the pages it actually
 //! changes.
+//!
+//! Bulk transfers ([`PhysMem::peek_block`], [`PhysMem::poke_block`])
+//! behave exactly like loops of single-word peeks and pokes but copy a
+//! page-sized slice at a time; the kernel's pager moves whole pages
+//! with them.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -46,6 +51,16 @@ enum Backing {
         /// Number of materialized (dirtied) pages.
         dirty: u32,
     },
+}
+
+/// A private copy of window `w` of a copy-on-write base image (zero
+/// past the end of the base).
+fn copy_window(base: &[Word], w: usize) -> Box<[Word]> {
+    let mut page = vec![Word::ZERO; COW_PAGE_WORDS].into_boxed_slice();
+    let src = base.get(w * COW_PAGE_WORDS..).unwrap_or(&[]);
+    let n = src.len().min(COW_PAGE_WORDS);
+    page[..n].copy_from_slice(&src[..n]);
+    page
 }
 
 /// Physical memory: up to 2^24 36-bit words.
@@ -169,14 +184,7 @@ impl PhysMem {
                 }
                 let window = i / COW_PAGE_WORDS;
                 if pages[window].is_none() {
-                    let lo = window * COW_PAGE_WORDS;
-                    let mut page = vec![Word::ZERO; COW_PAGE_WORDS].into_boxed_slice();
-                    for (k, slot) in page.iter_mut().enumerate() {
-                        if let Some(w) = base.get(lo + k) {
-                            *slot = *w;
-                        }
-                    }
-                    pages[window] = Some(page);
+                    pages[window] = Some(copy_window(base, window));
                     *dirty += 1;
                 }
                 pages[window].as_mut().map(|p| &mut p[i % COW_PAGE_WORDS])
@@ -207,13 +215,42 @@ impl PhysMem {
         matches!(self.backing, Backing::Cow { .. })
     }
 
-    /// Captures the full current contents as a shared read-only image
-    /// suitable for [`PhysMem::cow`]. Uncounted.
-    pub fn freeze_base(&self) -> Arc<Vec<Word>> {
-        let size = self.size();
-        let mut image = Vec::with_capacity(size);
-        for i in 0..size {
-            image.push(self.get(i).unwrap_or(Word::ZERO));
+    /// Number of [`COW_PAGE_WORDS`] windows covering the memory (the
+    /// last one may be partial).
+    fn windows(&self) -> usize {
+        self.size().div_ceil(COW_PAGE_WORDS)
+    }
+
+    /// Contents of window `w`, clipped to the memory size: the stored
+    /// words, then how many further words read as zero because they
+    /// lie past the end of a copy-on-write base image.
+    fn window(&self, w: usize) -> (&[Word], usize) {
+        let lo = w * COW_PAGE_WORDS;
+        let hi = (lo + COW_PAGE_WORDS).min(self.size());
+        match &self.backing {
+            Backing::Flat(words) => (&words[lo..hi], 0),
+            Backing::Cow { base, pages, .. } => match &pages[w] {
+                Some(page) => (&page[..hi - lo], 0),
+                None => {
+                    let stored = &base[lo.min(base.len())..hi.min(base.len())];
+                    (stored, hi - lo - stored.len())
+                }
+            },
+        }
+    }
+
+    /// Turns the memory into a shared read-only image of its contents,
+    /// suitable for [`PhysMem::cow`]. A flat array becomes the image
+    /// without a copy; a copy-on-write view is flattened.
+    pub fn freeze_base(self) -> Arc<Vec<Word>> {
+        if let Backing::Flat(words) = self.backing {
+            return Arc::new(words);
+        }
+        let mut image = Vec::with_capacity(self.size());
+        for w in 0..self.windows() {
+            let (stored, zeros) = self.window(w);
+            image.extend_from_slice(stored);
+            image.resize(image.len() + zeros, Word::ZERO);
         }
         Arc::new(image)
     }
@@ -286,6 +323,90 @@ impl PhysMem {
         }
     }
 
+    /// Reads `len` consecutive words from `start` without disturbing
+    /// the traffic counters: exactly a loop of [`PhysMem::peek`], done a
+    /// page at a time. Fails with the first out-of-range address.
+    pub fn peek_block(&self, start: AbsAddr, len: usize) -> Result<Vec<Word>, Fault> {
+        let lo = start.value() as usize;
+        let end = lo + len;
+        if len > 0 && end > self.size() {
+            return Err(Fault::PhysicalBounds {
+                abs: lo.max(self.size()) as u32,
+            });
+        }
+        let mut out = Vec::with_capacity(len);
+        let mut i = lo;
+        while i < end {
+            let (w, off) = (i / COW_PAGE_WORDS, i % COW_PAGE_WORDS);
+            let n = (COW_PAGE_WORDS - off).min(end - i);
+            let (stored, _) = self.window(w);
+            let from = off.min(stored.len());
+            let have = (stored.len() - from).min(n);
+            out.extend_from_slice(&stored[from..from + have]);
+            out.resize(out.len() + n - have, Word::ZERO);
+            i += n;
+        }
+        Ok(out)
+    }
+
+    /// Writes `words` to consecutive addresses from `start` without
+    /// disturbing the traffic counters: exactly a loop of
+    /// [`PhysMem::poke`], done a page at a time. A page is dirtied only
+    /// when one of its words changes or was poisoned; poison is cleared
+    /// without counting a repair; the high-water mark covers every word
+    /// written. Words past the end of memory are not written, and the
+    /// first of them is reported as the fault.
+    pub fn poke_block(&mut self, start: AbsAddr, words: &[Word]) -> Result<(), Fault> {
+        let lo = start.value() as usize;
+        let fit = words.len().min(self.size().saturating_sub(lo));
+        let (mut i, mut rest) = (lo, &words[..fit]);
+        while !rest.is_empty() {
+            let n = (COW_PAGE_WORDS - i % COW_PAGE_WORDS).min(rest.len());
+            let (chunk, tail) = rest.split_at(n);
+            self.poke_window(i, chunk);
+            i += n;
+            rest = tail;
+        }
+        if fit < words.len() {
+            return Err(Fault::PhysicalBounds {
+                abs: (lo + fit) as u32,
+            });
+        }
+        Ok(())
+    }
+
+    /// [`PhysMem::poke_block`] for an in-range run that stays inside one
+    /// window.
+    fn poke_window(&mut self, lo: usize, words: &[Word]) {
+        let hi = lo + words.len();
+        self.high_water = self.high_water.max(hi as u32);
+        let poisoned = self.poisoned.len();
+        self.poisoned
+            .retain(|abs| !(lo as u32..hi as u32).contains(abs));
+        let cleared = self.poisoned.len() != poisoned;
+        match &mut self.backing {
+            Backing::Flat(stored) => stored[lo..hi].copy_from_slice(words),
+            Backing::Cow {
+                base, pages, dirty, ..
+            } => {
+                let (w, off) = (lo / COW_PAGE_WORDS, lo % COW_PAGE_WORDS);
+                if pages[w].is_none() {
+                    let shown = &base[lo.min(base.len())..hi.min(base.len())];
+                    let (over_base, past_base) = words.split_at(shown.len());
+                    if !cleared && over_base == shown && past_base.iter().all(|v| *v == Word::ZERO)
+                    {
+                        return;
+                    }
+                    pages[w] = Some(copy_window(base, w));
+                    *dirty += 1;
+                }
+                if let Some(page) = pages[w].as_mut() {
+                    page[off..off + words.len()].copy_from_slice(words);
+                }
+            }
+        }
+    }
+
     /// Adds `n` to the read counter without touching memory. The
     /// fast-path engine probes with uncounted [`PhysMem::peek`]s so an
     /// abandoned attempt leaves no trace, then charges the reads the
@@ -303,14 +424,15 @@ impl PhysMem {
     /// The nonzero words with their absolute addresses, for sparse
     /// machine-image capture (uncounted).
     pub fn nonzero_words(&self) -> Vec<(u32, Word)> {
-        let size = self.size();
         let mut out = Vec::new();
-        for i in 0..size {
-            if let Some(w) = self.get(i) {
-                if w.raw() != 0 {
-                    out.push((i as u32, w));
-                }
-            }
+        for w in 0..self.windows() {
+            let lo = w * COW_PAGE_WORDS;
+            let (stored, _) = self.window(w);
+            out.extend(
+                (lo as u32..)
+                    .zip(stored.iter().copied())
+                    .filter(|(_, word)| word.raw() != 0),
+            );
         }
         out
     }
@@ -648,7 +770,7 @@ mod tests {
             .unwrap();
         flat.poke(AbsAddr::new(2999).unwrap(), Word::new(0o17))
             .unwrap();
-        let image = flat.freeze_base();
+        let image = flat.clone().freeze_base();
         assert_eq!(image.len(), 3000);
         let m = PhysMem::cow(image, 3000);
         assert_eq!(m.peek(AbsAddr::new(7).unwrap()).unwrap(), Word::new(0o70));
@@ -661,12 +783,15 @@ mod tests {
 
     #[test]
     fn freeze_base_captures_overlay_edits() {
-        let base = base_image(&[(1, 5)], 2048);
-        let mut m = PhysMem::cow(base, 2048);
+        let base = base_image(&[(1, 5), (1023, 7)], 1024);
+        let mut m = PhysMem::cow(base, 3000);
         m.poke(AbsAddr::new(1040).unwrap(), Word::new(6)).unwrap();
         let refrozen = m.freeze_base();
+        assert_eq!(refrozen.len(), 3000, "words past the base freeze as zero");
         assert_eq!(refrozen[1], Word::new(5));
+        assert_eq!(refrozen[1023], Word::new(7));
         assert_eq!(refrozen[1040], Word::new(6));
+        assert!(refrozen[1041..].iter().all(|w| *w == Word::ZERO));
     }
 
     #[test]
