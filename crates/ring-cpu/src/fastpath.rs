@@ -118,15 +118,34 @@ pub(crate) struct ICache {
     pub(crate) hits: u64,
     /// Fetches that had to decode (observability only).
     pub(crate) misses: u64,
+    /// Whether an entry was installed since the cache was last emptied
+    /// (an untouched cache needs no clearing).
+    touched: bool,
 }
 
 impl ICache {
     fn new() -> ICache {
         ICache {
-            slots: Box::new([ICacheEntry::empty(); ICACHE_SLOTS]),
+            // Filled in place on the heap (a boxed array literal is
+            // built on the stack and copied).
+            slots: vec![ICacheEntry::empty(); ICACHE_SLOTS]
+                .into_boxed_slice()
+                .try_into()
+                .unwrap_or_else(|_| unreachable!("ICACHE_SLOTS entries")),
             hits: 0,
             misses: 0,
+            touched: false,
         }
+    }
+
+    /// Empties the cache and zeroes its counters, as a new one.
+    fn clear(&mut self) {
+        if self.touched {
+            self.slots.fill(ICacheEntry::empty());
+            self.touched = false;
+        }
+        self.hits = 0;
+        self.misses = 0;
     }
 
     /// Returns the decoded instruction (and its precomputed operand
@@ -158,6 +177,7 @@ impl ICache {
         let entry = ICacheEntry::new(key, raw.raw(), instr);
         let out = entry.eligible.then_some((instr, entry.use_class));
         self.slots[slot] = entry;
+        self.touched = true;
         out
     }
 
@@ -166,6 +186,7 @@ impl ICache {
     pub(crate) fn install(&mut self, addr: SegAddr, raw: Word, instr: Instr) {
         let key = icache_key(addr);
         self.slots[icache_slot(key)] = ICacheEntry::new(key, raw.raw(), instr);
+        self.touched = true;
     }
 }
 
@@ -188,6 +209,13 @@ impl FastState {
             access_buf: Vec::with_capacity(8),
             record: false,
         }
+    }
+
+    /// Returns to the state of [`FastState::new`], reusing storage.
+    pub(crate) fn reset(&mut self) {
+        self.icache.clear();
+        self.access_buf.clear();
+        self.record = false;
     }
 }
 

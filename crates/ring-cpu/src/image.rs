@@ -26,11 +26,15 @@
 //! run being recorded.
 //!
 //! A [`MachineCheckpoint`] is the in-process form of the same snapshot
-//! (the fleet supervisor's restart point). It shares the encoder for
-//! everything but memory, which it keeps as a [`PhysMem`] clone: for a
-//! copy-on-write machine that is the shared base image plus copies of
-//! the dirty pages only, so capture costs O(dirty pages) and a restore
-//! goes on sharing the boot image.
+//! (the fleet supervisor's restart point, and a fleet member's ready
+//! state). It shares the encoder for everything but memory, which it
+//! keeps as a [`PhysMem`] clone: for a copy-on-write machine that is
+//! the shared base image plus the dirty pages, themselves shared by
+//! reference count, so capture copies no memory words and a restore
+//! goes on sharing the boot image. It also carries the fast-path
+//! counters (TLB and instruction-cache traffic), which a restore sets,
+//! so a machine resumed from a checkpoint reports the same counters as
+//! the machine that took it; the caches themselves still start cold.
 
 use ring_core::access::{AccessMode, Fault, Violation};
 use ring_core::addr::{AbsAddr, SegAddr, SegNo, WordNo};
@@ -39,7 +43,7 @@ use ring_core::ring::Ring;
 use ring_core::sdw::Sdw;
 use ring_core::word::Word;
 use ring_segmem::sdw_cache::SdwCacheState;
-use ring_segmem::PhysMem;
+use ring_segmem::{PhysMem, TlbStats};
 
 use crate::machine::{ExecStats, Machine};
 
@@ -71,13 +75,17 @@ impl MachineImage {
 }
 
 /// A restartable in-process snapshot: the [`MachineImage`] encoding of
-/// everything but memory, plus a clone of physical memory (traffic
-/// counters, poison and high-water mark included).
+/// everything but memory, a clone of physical memory (traffic
+/// counters, poison and high-water mark included), and the fast-path
+/// counters.
 #[derive(Debug, Clone)]
 pub struct MachineCheckpoint {
     /// The image encoding with an empty sparse-memory section.
     state: MachineImage,
     phys: PhysMem,
+    tlb: TlbStats,
+    /// Instruction-cache hits and misses.
+    icache: (u64, u64),
 }
 
 /// Packs a two-part address into one image word.
@@ -239,13 +247,16 @@ impl Machine {
     }
 
     /// Captures a [`MachineCheckpoint`]: like [`Machine::capture_image`],
-    /// but memory is cloned page-wise instead of encoded word by word.
+    /// but memory is cloned (sharing its pages) instead of encoded word
+    /// by word, and the fast-path counters come along.
     pub fn checkpoint(&self) -> MachineCheckpoint {
         MachineCheckpoint {
             state: MachineImage {
                 words: self.encode(false),
             },
             phys: self.phys.clone(),
+            tlb: self.tr.tlb_stats(),
+            icache: (self.fast.icache.hits, self.fast.icache.misses),
         }
     }
 
@@ -372,10 +383,15 @@ impl Machine {
 
     /// Restores a checkpoint taken by [`Machine::checkpoint`]. Memory
     /// comes back as the checkpoint's clone, so a copy-on-write machine
-    /// stays copy-on-write over the same shared base. Configuration
-    /// mismatches are errors, as for [`Machine::restore_image`].
+    /// stays copy-on-write over the same shared base. The fast-path
+    /// counters are set to the checkpoint's; the caches start cold.
+    /// Configuration mismatches are errors, as for
+    /// [`Machine::restore_image`].
     pub fn restore_checkpoint(&mut self, ck: &MachineCheckpoint) -> Result<(), String> {
-        self.decode(&ck.state.words, Some(&ck.phys))
+        self.decode(&ck.state.words, Some(&ck.phys))?;
+        self.tr.restore_tlb_stats(ck.tlb);
+        (self.fast.icache.hits, self.fast.icache.misses) = ck.icache;
+        Ok(())
     }
 
     /// Decodes and applies an image encoding. With `phys` given, memory
@@ -536,7 +552,7 @@ impl Machine {
             next_victim,
             stats: cache_stats,
         });
-        self.fast = crate::fastpath::FastState::new();
+        self.fast.reset();
         self.last_use = None;
         self.extra_cycles = 0;
         Ok(())

@@ -15,6 +15,9 @@
 //!   --out FILE       report path (default BENCH_fleet.json)
 //! ```
 //!
+//! Misuse (`--help`, an unknown option or mix, a missing or malformed
+//! value) prints the usage line and exits with status 2.
+//!
 //! Boots every machine from one frozen image per workload kind,
 //! runs the fleet across a work-stealing queue, prints aggregate
 //! simulated-instructions-per-second plus p50/p99 per-machine
@@ -23,11 +26,31 @@
 //! quarantine hash — are bit-stable across `--threads` values for a
 //! fixed seed — the determinism contract CI enforces.
 
+use std::io::Write;
+use std::process::ExitCode;
+use std::str::FromStr;
+
 use ring_fleet::report::{fleet_json, fnv1a64, HealthReport, Percentiles};
 use ring_fleet::{run_fleet, ChaosParams, FleetConfig, WorkloadMix};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+const USAGE: &str = "usage: fleetbench [--quick] [--machines N] [--threads K] [--seed S] \
+[--mix pagestorm|gatestorm|mixed] [--chaos-seed S] [--chaos-rate R] [--out FILE]";
+
+/// Parsed command line.
+struct Cli {
+    cfg: FleetConfig,
+    quick: bool,
+    out: String,
+}
+
+/// Parses option `opt`'s numeric value `v`.
+fn number<T: FromStr>(opt: &str, v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("{opt}: not a number: {v:?}"))
+}
+
+/// Parses the arguments; `Err` carries the complaint to print above
+/// the usage line.
+fn parse(args: &[String]) -> Result<Cli, String> {
     let quick = args.iter().any(|a| a == "--quick");
     let mut cfg = FleetConfig {
         machines: if quick { 256 } else { 10_000 },
@@ -38,28 +61,25 @@ fn main() {
     let mut chaos_rate: Option<u64> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut take = |what: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{what} takes a value"))
-                .clone()
-        };
+        let mut value = || it.next().ok_or_else(|| format!("{a} takes a value"));
         match a.as_str() {
             "--quick" => {}
-            "--machines" => cfg.machines = take("--machines").parse().expect("machine count"),
-            "--threads" => cfg.threads = take("--threads").parse().expect("thread count"),
-            "--seed" => cfg.seed = take("--seed").parse().expect("seed"),
+            "--machines" => cfg.machines = number(a, value()?)?,
+            "--threads" => cfg.threads = number(a, value()?)?,
+            "--seed" => cfg.seed = number(a, value()?)?,
             "--mix" => {
-                cfg.mix = match take("--mix").as_str() {
+                cfg.mix = match value()?.as_str() {
                     "pagestorm" => WorkloadMix::PageStorm,
                     "gatestorm" => WorkloadMix::GateStorm,
                     "mixed" => WorkloadMix::Mixed,
-                    other => panic!("unknown mix {other:?} (pagestorm|gatestorm|mixed)"),
+                    other => return Err(format!("unknown mix {other:?}")),
                 }
             }
-            "--chaos-seed" => chaos_seed = Some(take("--chaos-seed").parse().expect("chaos seed")),
-            "--chaos-rate" => chaos_rate = Some(take("--chaos-rate").parse().expect("chaos rate")),
-            "--out" => out = take("--out"),
-            other => panic!("unknown option {other:?}"),
+            "--chaos-seed" => chaos_seed = Some(number(a, value()?)?),
+            "--chaos-rate" => chaos_rate = Some(number(a, value()?)?),
+            "--out" => out = value()?.clone(),
+            "--help" | "-h" => return Err("fleet-scale benchmark".to_string()),
+            other => return Err(format!("unknown option {other:?}")),
         }
     }
     if chaos_seed.is_some() || chaos_rate.is_some() {
@@ -68,6 +88,18 @@ fn main() {
             mean_interval: chaos_rate.unwrap_or(50_000).max(1),
         });
     }
+    Ok(Cli { cfg, quick, out })
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Cli { cfg, quick, out } = match parse(&args) {
+        Ok(cli) => cli,
+        Err(complaint) => {
+            eprintln!("fleetbench: {complaint}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
 
     let result = run_fleet(&cfg);
     let completed = result.machines.iter().filter(|m| m.completed).count();
@@ -83,74 +115,83 @@ fn main() {
     let image_pages = result.image_words.div_ceil(ring_segmem::COW_PAGE_WORDS);
     let hash = fnv1a64(result.merged.to_json().as_bytes());
 
-    println!(
-        "fleet: {} machines, {} threads, seed {:#x}",
+    let mut summary = format!(
+        "fleet: {} machines, {} threads, seed {:#x}\n",
         result.machines.len(),
         result.threads,
         cfg.seed
     );
-    println!(
+    summary += &format!(
         "  completed {completed}/{}, {instructions} instructions in {:.3}s host \
-         ({:.0} aggregate ips)",
+         ({:.0} aggregate ips)\n",
         result.machines.len(),
         result.wall_seconds,
         instructions as f64 / result.wall_seconds.max(1e-9),
     );
-    println!(
-        "  per-machine wall-clock: p50 {:.3}ms  p99 {:.3}ms  max {:.3}ms",
+    summary += &format!(
+        "  per-machine wall-clock: p50 {:.3}ms  p99 {:.3}ms  max {:.3}ms\n",
         wall.p50 as f64 / 1e6,
         wall.p99 as f64 / 1e6,
         wall.max as f64 / 1e6,
     );
-    println!(
-        "  cow image: {} pages shared, dirty p50 {} p99 {} per machine",
+    summary += &format!(
+        "  cow image: {} pages shared, dirty p50 {} p99 {} per machine\n",
         image_pages, dirty_stats.p50, dirty_stats.p99,
     );
-    println!("  merged snapshot hash: fnv1a64:{hash:016x}");
+    summary += &format!("  merged snapshot hash: fnv1a64:{hash:016x}\n");
     let health = HealthReport::of(&result.machines);
     if cfg.supervisor.chaos.is_some() {
-        println!(
+        summary += &format!(
             "  chaos: {} ring-0 recoveries, {} restarts on {} machines \
-             (mean {:.0} cycles to recover), {} quarantined",
+             (mean {:.0} cycles to recover), {} quarantined\n",
             health.recoveries,
             health.restarts_total,
             health.restarted_machines,
             health.mean_cycles_to_recover(),
             health.quarantined.len(),
         );
-        println!(
-            "  quarantine hash: fnv1a64:{:016x}",
+        summary += &format!(
+            "  quarantine hash: fnv1a64:{:016x}\n",
             health.quarantine_hash()
         );
     }
 
-    std::fs::write(&out, fleet_json(&cfg, &result, quick)).expect("write report");
-    println!("wrote {out}");
+    if let Err(e) = std::fs::write(&out, fleet_json(&cfg, &result, quick)) {
+        eprintln!("fleetbench: cannot write {out}: {e}");
+        return ExitCode::FAILURE;
+    }
+    summary += &format!("wrote {out}\n");
+    // A reader that goes away early (`| head`) is not an error.
+    let _ = std::io::stdout().lock().write_all(summary.as_bytes());
 
-    assert!(
-        result.member_errors.is_empty(),
-        "host-side member errors: {:?}",
-        result.member_errors
-    );
-    if cfg.supervisor.chaos.is_some() {
-        // Under chaos, killed (confined) processes make `completed`
-        // too strict; health means every machine either halted cleanly
-        // or was explicitly quarantined.
-        let accounted = result
+    if !result.member_errors.is_empty() {
+        eprintln!(
+            "fleetbench: host-side member errors: {:?}",
+            result.member_errors
+        );
+        return ExitCode::FAILURE;
+    }
+    // Under chaos, killed (confined) processes make `completed` too
+    // strict; health means every machine either halted cleanly or was
+    // explicitly quarantined.
+    let healthy = if cfg.supervisor.chaos.is_some() {
+        result
             .machines
             .iter()
-            .filter(|m| m.halted || m.health.is_quarantined())
-            .count();
-        assert_eq!(
-            accounted,
-            result.machines.len(),
-            "every machine must halt or be quarantined"
-        );
+            .all(|m| m.halted || m.health.is_quarantined())
     } else {
-        assert_eq!(
-            completed,
-            result.machines.len(),
-            "every machine must run its workload to completion"
+        completed == result.machines.len()
+    };
+    if !healthy {
+        eprintln!(
+            "fleetbench: every machine must {}",
+            if cfg.supervisor.chaos.is_some() {
+                "halt or be quarantined"
+            } else {
+                "run its workload to completion"
+            }
         );
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
 }

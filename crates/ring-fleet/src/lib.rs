@@ -9,11 +9,13 @@
 //! [`ring_metrics::MetricsSnapshot`]s up into one fleet snapshot.
 //!
 //! Per-machine footprint is near zero: a prototype system is booted
-//! once per workload kind, its physical memory frozen into a shared
-//! read-only [`BootImage`], and every fleet member boots a
-//! copy-on-write view over it ([`ring_segmem::PhysMem::cow`]). A
-//! member that replays the identical world build dirties no pages;
-//! its private cost is only the pages its own execution writes.
+//! and its workload installed once per workload kind, then frozen
+//! into a shared read-only [`BootImage`] that also holds the installed
+//! prototype as a ready checkpoint. Every fleet member is that
+//! checkpoint restored over a copy-on-write view of the image
+//! ([`ring_segmem::PhysMem::cow`]) plus its own delta, the round count
+//! of each process ([`boot_member`]). It installs nothing, and its
+//! private cost is only the pages its own execution writes.
 //!
 //! # Determinism contract
 //!
@@ -40,9 +42,7 @@ use std::time::Instant;
 use ring_cpu::machine::RunExit;
 use ring_metrics::MetricsSnapshot;
 use ring_os::boot::{BootImage, System, SystemConfig};
-use ring_os::workload::{
-    install_gate_storm, install_page_storm, GateStormSpec, StormProc, StormSpec,
-};
+use ring_os::workload::{install_gate_storm, install_page_storm, GateStormSpec, StormSpec};
 
 pub use ring_chaos::{FailureClass, MachineFailure};
 pub use supervisor::{run_supervised, ChaosParams, MachineHealth, SupervisorConfig};
@@ -216,7 +216,8 @@ pub struct MachineResult {
     pub instructions: u64,
     /// Simulated cycles elapsed.
     pub cycles: u64,
-    /// Host wall-clock for boot + install + run, in nanoseconds.
+    /// Host wall-clock for the member's boot and run (restarts
+    /// included), in nanoseconds.
     pub wall_ns: u64,
     /// Whether the machine halted with every process exited cleanly
     /// inside the cycle budget.
@@ -267,30 +268,30 @@ pub struct FleetResult {
     pub image_words: usize,
 }
 
-/// Installs `spec`'s workload on a freshly booted system (shared with
-/// the supervised path, which must replay the exact same world build
-/// before restoring a checkpoint).
-pub(crate) fn install_workload(
-    sys: &mut System,
-    cfg: &FleetConfig,
-    spec: MachineSpec,
-) -> Vec<StormProc> {
+/// Installs `spec`'s workload on a freshly booted system: the
+/// prototype install behind [`build_image`], and the flat reference
+/// run of [`run_standalone`].
+fn install_workload(sys: &mut System, cfg: &FleetConfig, spec: MachineSpec) {
     match spec.kind {
-        WorkloadKind::PageStorm => install_page_storm(
-            sys,
-            &StormSpec {
-                procs: cfg.procs,
-                pages: cfg.pages,
-                rounds: spec.rounds,
-            },
-        ),
-        WorkloadKind::GateStorm => install_gate_storm(
-            sys,
-            &GateStormSpec {
-                procs: cfg.procs,
-                rounds: spec.rounds,
-            },
-        ),
+        WorkloadKind::PageStorm => {
+            install_page_storm(
+                sys,
+                &StormSpec {
+                    procs: cfg.procs,
+                    pages: cfg.pages,
+                    rounds: spec.rounds,
+                },
+            );
+        }
+        WorkloadKind::GateStorm => {
+            install_gate_storm(
+                sys,
+                &GateStormSpec {
+                    procs: cfg.procs,
+                    rounds: spec.rounds,
+                },
+            );
+        }
     }
 }
 
@@ -301,25 +302,25 @@ fn supervised(cfg: &FleetConfig) -> bool {
     cfg.supervisor.chaos.is_some() || cfg.supervisor.kill_machine.is_some()
 }
 
-/// Installs `spec`'s workload on a booted system and runs it to
-/// completion (or budget), returning the machine's result.
-fn install_and_run(mut sys: System, cfg: &FleetConfig, spec: MachineSpec) -> MachineResult {
+/// Runs a member to completion (or budget) and returns its result.
+/// `boot` produces the member's installed, not yet running system.
+/// Routes through the self-healing supervisor when the fleet has a
+/// chaos campaign or kill injector configured.
+fn run_machine(boot: &dyn Fn() -> System, cfg: &FleetConfig, spec: MachineSpec) -> MachineResult {
+    if supervised(cfg) {
+        return run_supervised(boot, cfg, spec);
+    }
     let start = Instant::now();
-    let procs = install_workload(&mut sys, cfg, spec);
+    let mut sys = boot();
     sys.enable_metrics();
     sys.machine.set_timer(Some(cfg.quantum));
     let exit = sys.machine.run(cfg.budget);
-    let st = sys.state.borrow();
-    let all_exited = procs
-        .iter()
-        .all(|p| st.processes[p.pid].aborted.as_deref() == Some("exit"));
-    drop(st);
     MachineResult {
         spec,
         instructions: sys.machine.stats().instructions,
         cycles: sys.machine.cycles(),
         wall_ns: start.elapsed().as_nanos() as u64,
-        completed: exit == RunExit::Halted && all_exited,
+        completed: exit == RunExit::Halted && all_exited(&sys),
         halted: exit == RunExit::Halted,
         dirty_pages: sys.machine.phys().dirty_pages(),
         snapshot: sys.metrics_snapshot(),
@@ -327,10 +328,19 @@ fn install_and_run(mut sys: System, cfg: &FleetConfig, spec: MachineSpec) -> Mac
     }
 }
 
+/// Whether every installed storm process has exited cleanly.
+pub(crate) fn all_exited(sys: &System) -> bool {
+    let st = sys.state.borrow();
+    sys.workload()
+        .iter()
+        .all(|p| st.processes[p.pid].aborted.as_deref() == Some("exit"))
+}
+
 /// Boots a prototype system, installs `kind`'s workload exactly as a
-/// fleet member will (using the *base* rounds — members' seed-jittered
-/// rounds differ by at most one word per process), and freezes its
-/// memory into a shared [`BootImage`].
+/// fleet member runs it (using the *base* rounds; a member's
+/// seed-jittered rounds differ by one word per process), and freezes
+/// it into a shared [`BootImage`] with the installed prototype as its
+/// ready checkpoint.
 pub fn build_image(cfg: &FleetConfig, kind: WorkloadKind) -> BootImage {
     let mut proto = System::boot_with(cfg.system_config());
     let proto_spec = MachineSpec {
@@ -339,51 +349,40 @@ pub fn build_image(cfg: &FleetConfig, kind: WorkloadKind) -> BootImage {
         kind,
         rounds: cfg.base_rounds,
     };
-    match kind {
-        WorkloadKind::PageStorm => {
-            install_page_storm(
-                &mut proto,
-                &StormSpec {
-                    procs: cfg.procs,
-                    pages: cfg.pages,
-                    rounds: proto_spec.rounds,
-                },
-            );
-        }
-        WorkloadKind::GateStorm => {
-            install_gate_storm(
-                &mut proto,
-                &GateStormSpec {
-                    procs: cfg.procs,
-                    rounds: proto_spec.rounds,
-                },
-            );
-        }
-    }
+    install_workload(&mut proto, cfg, proto_spec);
     proto.freeze()
 }
 
-/// Runs one fleet member over the shared image: boots a copy-on-write
-/// system and replays the workload install (dirtying only what
-/// diverges) before running. Routes through the self-healing
-/// supervisor when the fleet has a chaos campaign configured.
-pub fn run_member(image: &BootImage, cfg: &FleetConfig, spec: MachineSpec) -> MachineResult {
-    if supervised(cfg) {
-        run_supervised(&|| System::boot_from_image(image), cfg, spec)
-    } else {
-        install_and_run(System::boot_from_image(image), cfg, spec)
-    }
+/// Boots fleet member `spec`, installed and ready to run: the image's
+/// ready checkpoint restored over a copy-on-write view of the image,
+/// with each process's round count set to the member's. Equivalent to
+/// booting over the image and installing the workload with the
+/// member's rounds, without repeating the install.
+pub fn boot_member(image: &BootImage, spec: MachineSpec) -> System {
+    let mut sys = System::boot_ready(image);
+    sys.set_storm_rounds(spec.rounds);
+    sys
 }
 
-/// Runs `spec` standalone on a private flat memory — the reference
-/// a fleet member must be bit-identical to (supervised when the
-/// config says so, exactly as [`run_member`]).
+/// Runs one fleet member over the shared image ([`boot_member`]) to
+/// completion. Routes through the self-healing supervisor when the
+/// fleet has a chaos campaign configured, whose first attempt and
+/// restarts boot the same way.
+pub fn run_member(image: &BootImage, cfg: &FleetConfig, spec: MachineSpec) -> MachineResult {
+    run_machine(&|| boot_member(image, spec), cfg, spec)
+}
+
+/// Runs `spec` standalone on a private flat memory, installing its
+/// workload from scratch — the reference a fleet member must be
+/// bit-identical to (supervised when the config says so, exactly as
+/// [`run_member`]).
 pub fn run_standalone(cfg: &FleetConfig, spec: MachineSpec) -> MachineResult {
-    if supervised(cfg) {
-        run_supervised(&|| System::boot_with(cfg.system_config()), cfg, spec)
-    } else {
-        install_and_run(System::boot_with(cfg.system_config()), cfg, spec)
-    }
+    let boot = || {
+        let mut sys = System::boot_with(cfg.system_config());
+        install_workload(&mut sys, cfg, spec);
+        sys
+    };
+    run_machine(&boot, cfg, spec)
 }
 
 /// Resolves the worker-thread count: explicit, or host parallelism.

@@ -27,7 +27,7 @@ use ring_chaos::{mix_seed, FailureClass, FaultPlan, MachineFailure};
 use ring_cpu::machine::RunExit;
 use ring_os::{System, SystemCheckpoint};
 
-use crate::{install_workload, FleetConfig, MachineResult, MachineSpec};
+use crate::{all_exited, FleetConfig, MachineResult, MachineSpec};
 
 /// Chaos-campaign parameters shared by every supervised machine. Each
 /// machine's actual fault stream is seeded from these plus its own
@@ -112,11 +112,10 @@ struct Attempt {
     snapshot: ring_metrics::MetricsSnapshot,
 }
 
-/// Runs one attempt: boot + install (replaying the world build so the
-/// native-procedure registry matches the checkpoint's memory image),
-/// restore the latest good checkpoint if this is a restart, arm the
-/// attempt-salted chaos stream, then run in checkpoint-cadence slices
-/// under the watchdog.
+/// Runs one attempt: boot the installed world (its native-procedure
+/// registry matches any checkpoint of the machine), restore the latest
+/// good checkpoint if this is a restart, arm the attempt-salted chaos
+/// stream, then run in checkpoint-cadence slices under the watchdog.
 fn run_attempt(
     boot: &dyn Fn() -> System,
     cfg: &FleetConfig,
@@ -126,7 +125,6 @@ fn run_attempt(
 ) -> Attempt {
     let sup = &cfg.supervisor;
     let mut sys = boot();
-    let procs = install_workload(&mut sys, cfg, spec);
     sys.enable_metrics();
     sys.machine.set_timer(Some(cfg.quantum));
     if attempt > 0 {
@@ -212,13 +210,8 @@ fn run_attempt(
     };
 
     let halted = outcome.is_ok();
-    let st = sys.state.borrow();
-    let all_exited = procs
-        .iter()
-        .all(|p| st.processes[p.pid].aborted.as_deref() == Some("exit"));
-    drop(st);
     Attempt {
-        completed: halted && all_exited,
+        completed: halted && all_exited(&sys),
         halted,
         outcome,
         instructions: sys.machine.stats().instructions,
@@ -241,8 +234,9 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Runs `spec` under the supervisor: attempts, checkpoints, restarts,
 /// and — when the restart budget is spent — quarantine. `boot` must
-/// deterministically produce the machine's freshly-booted world (from
-/// the shared image for fleet members, from flat memory standalone).
+/// deterministically produce the machine's installed, not yet running
+/// world ([`crate::boot_member`] for fleet members; a flat boot plus
+/// install standalone); every attempt starts from it.
 ///
 /// Worker-thread panics inside an attempt are caught and classified
 /// [`FailureClass::HostPanic`]; this function itself never panics on a

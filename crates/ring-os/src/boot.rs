@@ -25,6 +25,7 @@ use crate::conventions::{frame, hcs, ring1, segs};
 use crate::fs::SegmentId;
 use crate::process::ProcessState;
 use crate::state::OsState;
+use crate::workload::StormProc;
 
 /// Configuration knobs for a booted system.
 #[derive(Clone, Copy, Debug)]
@@ -70,19 +71,23 @@ impl Default for SystemConfig {
 }
 
 /// A frozen boot image: a system's entire physical memory captured as
-/// a shared read-only array, plus the configuration that built it.
+/// a shared read-only array, the configuration that built it, and the
+/// system as it stood when frozen, as a ready-to-run checkpoint.
 ///
 /// Build a prototype system once ([`System::boot_with`] plus workload
-/// installation), [`System::freeze`] it, then boot any number of
-/// machines from the image with [`System::boot_from_image`]. Each
-/// clone's memory is a copy-on-write view ([`ring_segmem::PhysMem::cow`])
-/// over the shared image, so per-machine footprint is only the pages a
-/// machine actually changes. The image is `Send + Sync` and cheap to
-/// clone across threads.
+/// installation) and [`System::freeze`] it. Then start any number of
+/// machines from the image: [`System::boot_ready`] gives the installed
+/// prototype itself, and [`System::boot_from_image`] a freshly booted,
+/// empty world to build on. Each clone's memory is a copy-on-write view
+/// ([`ring_segmem::PhysMem::cow`]) over the shared image, so
+/// per-machine footprint is only the pages a machine actually changes.
+/// The image is `Send + Sync` and cheap to clone across threads.
 #[derive(Clone)]
 pub struct BootImage {
     cfg: SystemConfig,
     base: std::sync::Arc<Vec<Word>>,
+    ready: SystemCheckpoint,
+    workload: Vec<StormProc>,
 }
 
 impl BootImage {
@@ -92,14 +97,15 @@ impl BootImage {
         self.cfg
     }
 
-    /// The image contents, by shared reference count.
+    /// The image contents, by shared reference count. Words past the
+    /// end read as zero.
     pub fn share(&self) -> std::sync::Arc<Vec<Word>> {
         std::sync::Arc::clone(&self.base)
     }
 
-    /// Image length in words.
+    /// Image size in words: the configured physical memory size.
     pub fn words(&self) -> usize {
-        self.base.len()
+        self.cfg.phys_words
     }
 }
 
@@ -134,6 +140,8 @@ pub struct System {
     pub alloc: Rc<RefCell<PhysAllocator>>,
     template: Vec<(u32, Sdw)>,
     cfg: SystemConfig,
+    /// Storm processes installed on this system, in install order.
+    pub(crate) workload: Vec<StormProc>,
 }
 
 impl System {
@@ -149,10 +157,11 @@ impl System {
 
     /// Boots over a frozen image: physical memory becomes a
     /// copy-on-write view sharing the image's storage. The supervisor
-    /// is rebuilt host-side exactly as in a fresh boot; because
-    /// world-building pokes that store a word's existing value leave
-    /// the overlay untouched, a clone that replays the same boot and
-    /// workload sequence dirties no pages at all until it diverges.
+    /// is rebuilt host-side exactly as in a fresh boot, and no workload
+    /// is installed. Because world-building pokes that store a word's
+    /// existing value leave the overlay untouched, a clone that replays
+    /// the prototype's boot and workload install dirties no pages at
+    /// all until it diverges.
     pub fn boot_from_image(image: &BootImage) -> System {
         let cfg = image.cfg();
         System::boot_on(
@@ -161,17 +170,43 @@ impl System {
         )
     }
 
-    /// Turns this system's physical memory into a shared read-only
-    /// [`BootImage`], consuming the system (its memory becomes the
-    /// image without a copy). Freeze after world building and workload
-    /// installation, before any execution, so clones replay from the
-    /// exact installed state.
+    /// Boots the image's prototype as it was frozen: a boot over the
+    /// image with the ready checkpoint restored onto it, so the
+    /// workload is installed without being replayed. The result is
+    /// indistinguishable from [`System::boot_from_image`] followed by
+    /// the prototype's install.
+    ///
+    /// # Panics
+    ///
+    /// Never for an image made by [`System::freeze`]: the checkpoint
+    /// was taken on the image's own configuration.
+    pub fn boot_ready(image: &BootImage) -> System {
+        let mut sys = System::boot_from_image(image);
+        sys.restore_checkpoint(&image.ready)
+            .expect("the ready checkpoint matches its own image");
+        sys.workload.clone_from(&image.workload);
+        sys
+    }
+
+    /// Turns this system into a shared read-only [`BootImage`],
+    /// consuming it: its memory becomes the image without a copy, and
+    /// the system itself becomes the image's ready checkpoint. Freeze
+    /// after world building and workload installation, before any
+    /// execution, so clones start from the exact installed state.
     pub fn freeze(mut self) -> BootImage {
-        let phys = std::mem::replace(self.machine.phys_mut(), ring_segmem::PhysMem::new(0));
+        let base = self.machine.phys_mut().freeze_base();
         BootImage {
             cfg: self.cfg,
-            base: phys.freeze_base(),
+            base,
+            ready: self.checkpoint(),
+            workload: self.workload,
         }
+    }
+
+    /// The storm processes installed on this system
+    /// ([`crate::workload`]), in install order.
+    pub fn workload(&self) -> &[StormProc] {
+        &self.workload
     }
 
     /// The configuration this system booted with.
@@ -258,6 +293,7 @@ impl System {
             alloc,
             template,
             cfg,
+            workload: Vec::new(),
         }
     }
 
@@ -425,8 +461,10 @@ impl System {
     ///
     /// Capture is uncounted and read-only: taking a checkpoint never
     /// perturbs the run (the fleet supervisor checkpoints on a cycle
-    /// cadence mid-execution). Memory is cloned page-wise, so the cost
-    /// is O(dirty pages) on a copy-on-write boot.
+    /// cadence mid-execution). Nothing large is copied: memory pages,
+    /// drum pages and stored-segment bodies are shared by reference
+    /// count, and whichever side writes a shared memory page next
+    /// copies that page then.
     pub fn checkpoint(&self) -> SystemCheckpoint {
         SystemCheckpoint {
             machine: self.machine.checkpoint(),

@@ -9,6 +9,7 @@
 //! protected primitive per step.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use ring_core::addr::AbsAddr;
 use ring_core::word::Word;
@@ -56,7 +57,8 @@ pub struct StoredSegment {
     pub acl: Acl,
     /// Initial contents (copied into memory at the first demand load;
     /// write-back on termination is out of scope for the reproduction).
-    pub data: Vec<Word>,
+    /// Never written, so clones of the file system share it.
+    pub data: Arc<[Word]>,
     /// The shared in-memory image, set by the first demand load.
     pub image: Option<LoadedImage>,
 }
@@ -165,7 +167,7 @@ impl FileSystem {
         &mut self,
         path: &str,
         acl: Acl,
-        data: Vec<Word>,
+        data: impl Into<Arc<[Word]>>,
     ) -> Result<SegmentId, FsError> {
         let (dir, name) = self.make_parents(path)?;
         if self.dirs[dir.0 as usize].entries.contains_key(name) {
@@ -175,7 +177,7 @@ impl FileSystem {
         self.segments.push(StoredSegment {
             path: path.to_string(),
             acl,
-            data,
+            data: data.into(),
             image: None,
         });
         self.dirs[dir.0 as usize]

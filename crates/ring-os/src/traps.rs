@@ -370,7 +370,7 @@ fn load_page(
     // drum refill, the block the caller applies models the transfer
     // time.
     let words = match &fetched {
-        Some(words) => words.as_slice(),
+        Some(words) => &words[..],
         None => {
             let data = &s.fs.segment(entry.id).data;
             let lo = (page * PAGE_WORDS) as usize;

@@ -16,6 +16,9 @@
 //! the dominant cost is CALL/RETURN ring crossings and supervisor
 //! dispatch rather than paging.
 
+use std::sync::Arc;
+
+use ring_core::addr::AbsAddr;
 use ring_core::ring::Ring;
 use ring_core::sdw::SdwBuilder;
 use ring_core::word::Word;
@@ -58,6 +61,9 @@ pub struct StormProc {
     pub entry: u32,
     /// Segment number of the process's private data segment.
     pub data_segno: u32,
+    /// Absolute address of the word holding the process's round
+    /// count (`None` for a caller-supplied program without one).
+    pub rounds_word: Option<AbsAddr>,
 }
 
 /// The assembly of one sweep program: touch the first word of every
@@ -134,14 +140,19 @@ where
         let user = format!("storm{i}");
         let pid = sys.login(&user);
         let words = (spec.pages * PAGE_WORDS) as usize;
-        let id = sys.create_segment(
-            &format!("/storm/{user}/data"),
-            Acl::single(
-                AclEntry::new(&user, Modes::RW, (Ring::R4, Ring::R4, Ring::R4), 0)
-                    .expect("well-formed ACL"),
-            ),
-            vec![Word::new(i as u64 + 1); words],
-        );
+        let id = sys
+            .state
+            .borrow_mut()
+            .fs
+            .create_segment(
+                &format!("/storm/{user}/data"),
+                Acl::single(
+                    AclEntry::new(&user, Modes::RW, (Ring::R4, Ring::R4, Ring::R4), 0)
+                        .expect("well-formed ACL"),
+                ),
+                std::iter::repeat_n(Word::new(i as u64 + 1), words).collect::<Arc<[Word]>>(),
+            )
+            .expect("create stored segment");
         // Initiate the segment by hand (the host-side twin of
         // `hcs$initiate`): KST entry plus a not-present SDW, so the
         // first reference segment-faults and builds the page table.
@@ -161,11 +172,13 @@ where
         let staged = sys.install_code(pid, Ring::R4, Ring::R4, 0, &source_for(data_segno));
         sys.prepare(pid, staged.segno, 0, Ring::R4);
         sys.park(pid);
+        let code = sys.read_sdw(pid, staged.segno).addr;
         out.push(StormProc {
             pid,
             code_segno: staged.segno,
             entry: 0,
             data_segno,
+            rounds_word: staged.symbols.get("rounds").map(|&w| code.wrapping_add(w)),
         });
     }
     activate_first(sys, &out);
@@ -250,6 +263,7 @@ pub fn install_gate_storm(sys: &mut System, spec: &GateStormSpec) -> Vec<StormPr
             code_segno: staged.segno,
             entry: 0,
             data_segno: data.segno,
+            rounds_word: Some(sys.read_sdw(pid, data.segno).addr),
         });
     }
     activate_first(sys, &out);
@@ -258,10 +272,32 @@ pub fn install_gate_storm(sys: &mut System, spec: &GateStormSpec) -> Vec<StormPr
 
 /// The first installed process runs immediately: point the machine at
 /// it and take it back off the ready queue (it is no longer waiting).
+/// The system records the installed processes.
 fn activate_first(sys: &mut System, procs: &[StormProc]) {
     let first = procs[0].clone();
     sys.prepare(first.pid, first.code_segno, first.entry, Ring::R4);
     let mut st = sys.state.borrow_mut();
     st.sched.remove(first.pid);
     st.processes[first.pid].saved = None;
+    drop(st);
+    sys.workload.extend_from_slice(procs);
+}
+
+impl System {
+    /// Sets every installed storm process's round count to `rounds`, as
+    /// if the workload had been installed with it. Equal to the stored
+    /// count, this changes nothing (and dirties no copy-on-write page).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a rounds word lies outside physical memory, which an
+    /// install never produces.
+    pub fn set_storm_rounds(&mut self, rounds: u32) {
+        for abs in self.workload.iter().filter_map(|p| p.rounds_word) {
+            self.machine
+                .phys_mut()
+                .poke(abs, Word::new(u64::from(rounds)))
+                .expect("rounds word in memory");
+        }
+    }
 }

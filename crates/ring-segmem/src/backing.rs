@@ -18,8 +18,12 @@
 //! deterministic. The store lives outside the simulated physical
 //! memory on purpose: it is I/O-device state, not addressable store,
 //! exactly like the drum in the original design.
+//!
+//! Page images are shared by reference count, so cloning the store (a
+//! checkpoint does) copies no words.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use ring_core::word::Word;
 
@@ -36,7 +40,7 @@ pub struct PageKey {
 /// The simulated drum: evicted pages, keyed by stored segment.
 #[derive(Clone, Debug, Default)]
 pub struct BackingStore {
-    pages: BTreeMap<PageKey, Vec<Word>>,
+    pages: BTreeMap<PageKey, Arc<[Word]>>,
     writes: u64,
     reads: u64,
 }
@@ -48,7 +52,7 @@ impl BackingStore {
     }
 
     /// Writes (or overwrites) `key`'s page image.
-    pub fn store(&mut self, key: PageKey, words: Vec<Word>) {
+    pub fn store(&mut self, key: PageKey, words: Arc<[Word]>) {
         self.writes += 1;
         self.pages.insert(key, words);
     }
@@ -57,7 +61,7 @@ impl BackingStore {
     /// evicted. The entry is *consumed*: the drum copy goes stale the
     /// moment the page is writable in core again, so a page lives in
     /// exactly one place — a frame or the drum, never both.
-    pub fn fetch(&mut self, key: PageKey) -> Option<Vec<Word>> {
+    pub fn fetch(&mut self, key: PageKey) -> Option<Arc<[Word]>> {
         let words = self.pages.remove(&key)?;
         self.reads += 1;
         Some(words)
@@ -71,7 +75,7 @@ impl BackingStore {
     /// The stored image for `key` without counting a read (diagnostic
     /// inspection; the kernel's fill path uses [`BackingStore::fetch`]).
     pub fn peek(&self, key: PageKey) -> Option<&[Word]> {
-        self.pages.get(&key).map(|w| w.as_slice())
+        self.pages.get(&key).map(|w| &w[..])
     }
 
     /// Drops every page of stored segment `seg` (segment deletion).
@@ -112,7 +116,7 @@ mod tests {
     fn store_then_fetch_round_trips_and_consumes() {
         let mut b = BackingStore::new();
         assert!(!b.contains(key(10, 2)));
-        b.store(key(10, 2), vec![Word::new(5); 4]);
+        b.store(key(10, 2), Arc::from([Word::new(5); 4]));
         assert!(b.contains(key(10, 2)));
         assert_eq!(b.fetch(key(10, 2)).unwrap()[0], Word::new(5));
         // The page-in consumed the drum copy.
@@ -125,8 +129,8 @@ mod tests {
     #[test]
     fn release_seg_drops_only_that_segment() {
         let mut b = BackingStore::new();
-        b.store(key(10, 0), vec![]);
-        b.store(key(11, 0), vec![]);
+        b.store(key(10, 0), Arc::from([]));
+        b.store(key(11, 0), Arc::from([]));
         b.release_seg(10);
         assert!(!b.contains(key(10, 0)));
         assert!(b.contains(key(11, 0)));

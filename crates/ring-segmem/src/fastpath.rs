@@ -163,6 +163,9 @@ pub struct RingTlb {
     /// that was never cached is O(1). Counts include stale-epoch entries
     /// (they still occupy slots) and are maintained on overwrite.
     seg_counts: Vec<u16>,
+    /// Whether an entry was installed since the table was last emptied
+    /// (an untouched table needs no clearing).
+    touched: bool,
     stats: TlbStats,
 }
 
@@ -176,9 +179,15 @@ impl RingTlb {
     /// Creates an empty lookaside.
     pub fn new() -> RingTlb {
         RingTlb {
-            slots: Box::new([EMPTY_ENTRY; TLB_SLOTS]),
+            // Filled in place on the heap (a boxed array literal is
+            // built on the stack and copied).
+            slots: vec![EMPTY_ENTRY; TLB_SLOTS]
+                .into_boxed_slice()
+                .try_into()
+                .unwrap_or_else(|_| unreachable!("TLB_SLOTS entries")),
             epoch: 0,
             seg_counts: vec![0; MAX_SEGNO as usize + 1],
+            touched: false,
             stats: TlbStats::default(),
         }
     }
@@ -353,6 +362,7 @@ impl RingTlb {
             ptw_word,
         };
         self.seg_counts[addr.segno.value() as usize] += 1;
+        self.touched = true;
         self.stats.installs += 1;
     }
 
@@ -393,8 +403,11 @@ impl RingTlb {
     /// world-building performed) are preserved so that a replay in an
     /// identically built world reports identical statistics.
     pub fn clear_preserving_stats(&mut self) {
-        self.slots.fill(EMPTY_ENTRY);
-        self.seg_counts.fill(0);
+        if self.touched {
+            self.slots.fill(EMPTY_ENTRY);
+            self.seg_counts.fill(0);
+            self.touched = false;
+        }
     }
 
     /// Chaos hook: damages one live entry, chosen deterministically by
@@ -435,6 +448,12 @@ impl RingTlb {
     /// Accumulated statistics.
     pub fn stats(&self) -> TlbStats {
         self.stats
+    }
+
+    /// Overwrites the statistics counters (checkpoint restore); the
+    /// entries are untouched.
+    pub fn restore_stats(&mut self, stats: TlbStats) {
+        self.stats = stats;
     }
 }
 

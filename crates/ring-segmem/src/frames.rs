@@ -18,6 +18,8 @@
 //! a fast-path hit would leave the bit stale and replacement would
 //! starve the page.
 
+use std::sync::Arc;
+
 use ring_core::access::Fault;
 use ring_core::word::Word;
 use ring_core::AbsAddr;
@@ -234,12 +236,12 @@ pub fn sweep_out(
     victim: &Evicted,
     frame: u32,
     page_words: usize,
-) -> Result<Vec<Word>, Fault> {
+) -> Result<Arc<[Word]>, Fault> {
     let base = frame as usize * page_words;
     let start = AbsAddr::new(base as u32).ok_or(Fault::PhysicalBounds { abs: base as u32 })?;
     let words = phys.peek_block(start, page_words)?;
     phys.poke(victim.owner.ptw_addr, Ptw::MISSING.pack())?;
-    Ok(words)
+    Ok(words.into())
 }
 
 #[cfg(test)]

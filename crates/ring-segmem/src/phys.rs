@@ -6,13 +6,21 @@
 //! ([`crate::translate`]).
 //!
 //! Memory comes in two backings. [`PhysMem::new`] builds the classic
-//! flat array. [`PhysMem::cow`] builds a copy-on-write view over a
-//! shared read-only base image ([`Arc`]`<Vec<Word>>`): reads fall
-//! through to the base, and the first write to any [`COW_PAGE_WORDS`]
-//! aligned page materializes a private copy of that page. A fleet of
-//! machines booted from one frozen image therefore shares almost all
-//! of its storage — each machine pays only for the pages it actually
-//! changes.
+//! flat array, filled lazily: it reserves its storage up front but
+//! zero-fills the [`COW_PAGE_WORDS`] windows up to an address only when
+//! that address is first written, and words never written read as
+//! zero. [`PhysMem::cow`] builds a copy-on-write view over a shared
+//! read-only base image ([`Arc`]`<Vec<Word>>`): reads fall through to
+//! the base, and the first write to any [`COW_PAGE_WORDS`] aligned page
+//! materializes a private copy of that page. A fleet of machines booted
+//! from one frozen image therefore shares almost all of its storage —
+//! each machine pays only for the pages it actually changes.
+//!
+//! Overlay pages are themselves shared by reference count, so cloning a
+//! copy-on-write memory (a checkpoint) costs one count bump per window
+//! and copies no words. Whichever side writes a shared page next copies
+//! it then ([`Arc::make_mut`]); that copy does not count as a new dirty
+//! page, because the page had already diverged from the base image.
 //!
 //! Bulk transfers ([`PhysMem::peek_block`], [`PhysMem::poke_block`])
 //! behave exactly like loops of single-word peeks and pokes but copy a
@@ -31,12 +39,23 @@ use ring_core::word::Word;
 /// exactly one privately materialized host allocation.
 pub const COW_PAGE_WORDS: usize = 1024;
 
+/// One copy-on-write overlay page, shared by reference count between a
+/// memory and its clones until one of them writes to it.
+type Page = Arc<[Word; COW_PAGE_WORDS]>;
+
 /// Storage behind a [`PhysMem`]: either a private flat array or a
 /// copy-on-write overlay above a shared read-only base image.
 #[derive(Clone)]
 enum Backing {
-    /// Every word privately owned (the classic layout).
-    Flat(Vec<Word>),
+    /// Every word privately owned (the classic layout). `words` is the
+    /// written prefix, whole windows long (the last may be partial);
+    /// words from there up to `size` read as zero until written.
+    Flat {
+        /// The filled prefix of memory.
+        words: Vec<Word>,
+        /// Configured size in words.
+        size: usize,
+    },
     /// Shared base image plus private dirty pages.
     Cow {
         /// The frozen boot image, shared by reference count across
@@ -47,7 +66,7 @@ enum Backing {
         size: usize,
         /// Private overlay, one optional page per [`COW_PAGE_WORDS`]
         /// window. `None` means the window still reads from `base`.
-        pages: Vec<Option<Box<[Word]>>>,
+        pages: Vec<Option<Page>>,
         /// Number of materialized (dirtied) pages.
         dirty: u32,
     },
@@ -55,12 +74,21 @@ enum Backing {
 
 /// A private copy of window `w` of a copy-on-write base image (zero
 /// past the end of the base).
-fn copy_window(base: &[Word], w: usize) -> Box<[Word]> {
-    let mut page = vec![Word::ZERO; COW_PAGE_WORDS].into_boxed_slice();
+fn copy_window(base: &[Word], w: usize) -> Page {
+    let mut page = [Word::ZERO; COW_PAGE_WORDS];
     let src = base.get(w * COW_PAGE_WORDS..).unwrap_or(&[]);
     let n = src.len().min(COW_PAGE_WORDS);
     page[..n].copy_from_slice(&src[..n]);
-    page
+    Arc::new(page)
+}
+
+/// Extends a flat memory's filled prefix with zeroed windows until it
+/// covers address `hi - 1` (`hi` at most the memory size).
+fn fill_to(words: &mut Vec<Word>, size: usize, hi: usize) {
+    if words.len() < hi {
+        let end = (hi.div_ceil(COW_PAGE_WORDS) * COW_PAGE_WORDS).min(size);
+        words.resize(end, Word::ZERO);
+    }
 }
 
 /// Physical memory: up to 2^24 36-bit words.
@@ -98,7 +126,8 @@ impl PhysMem {
     /// Maximum addressable size in words (24-bit absolute addresses).
     pub const MAX_WORDS: usize = 1 << 24;
 
-    /// Creates a zeroed memory of `words` words.
+    /// Creates a zeroed memory of `words` words. Storage is reserved
+    /// now and zero-filled a window at a time on first write.
     ///
     /// # Panics
     ///
@@ -106,7 +135,10 @@ impl PhysMem {
     pub fn new(words: usize) -> PhysMem {
         assert!(words <= Self::MAX_WORDS, "physical memory too large");
         PhysMem {
-            backing: Backing::Flat(vec![Word::ZERO; words]),
+            backing: Backing::Flat {
+                words: Vec::with_capacity(words),
+                size: words,
+            },
             reads: 0,
             writes: 0,
             poisoned: BTreeSet::new(),
@@ -152,7 +184,10 @@ impl PhysMem {
     #[inline]
     fn get(&self, i: usize) -> Option<Word> {
         match &self.backing {
-            Backing::Flat(words) => words.get(i).copied(),
+            Backing::Flat { words, size } => match words.get(i) {
+                Some(word) => Some(*word),
+                None => (i < *size).then_some(Word::ZERO),
+            },
             Backing::Cow {
                 base, size, pages, ..
             } => {
@@ -167,12 +202,18 @@ impl PhysMem {
         }
     }
 
-    /// Mutable access to slot `i`, materializing the private copy of
-    /// its page when the backing is copy-on-write.
+    /// Mutable access to slot `i`: fills a flat memory up to it, or
+    /// makes its copy-on-write page private.
     #[inline]
     fn slot_mut(&mut self, i: usize) -> Option<&mut Word> {
         match &mut self.backing {
-            Backing::Flat(words) => words.get_mut(i),
+            Backing::Flat { words, size } => {
+                if i >= *size {
+                    return None;
+                }
+                fill_to(words, *size, i + 1);
+                words.get_mut(i)
+            }
             Backing::Cow {
                 base,
                 size,
@@ -182,12 +223,11 @@ impl PhysMem {
                 if i >= *size {
                     return None;
                 }
-                let window = i / COW_PAGE_WORDS;
-                if pages[window].is_none() {
-                    pages[window] = Some(copy_window(base, window));
+                let page = pages[i / COW_PAGE_WORDS].get_or_insert_with(|| {
                     *dirty += 1;
-                }
-                pages[window].as_mut().map(|p| &mut p[i % COW_PAGE_WORDS])
+                    copy_window(base, i / COW_PAGE_WORDS)
+                });
+                Some(&mut Arc::make_mut(page)[i % COW_PAGE_WORDS])
             }
         }
     }
@@ -195,16 +235,15 @@ impl PhysMem {
     /// Size in words.
     pub fn size(&self) -> usize {
         match &self.backing {
-            Backing::Flat(words) => words.len(),
-            Backing::Cow { size, .. } => *size,
+            Backing::Flat { size, .. } | Backing::Cow { size, .. } => *size,
         }
     }
 
-    /// Number of privately materialized (dirtied) copy-on-write pages.
-    /// Zero for flat memory.
+    /// Number of copy-on-write pages that diverged from the base image
+    /// (a clone counts the ones it inherited). Zero for flat memory.
     pub fn dirty_pages(&self) -> u32 {
         match &self.backing {
-            Backing::Flat(_) => 0,
+            Backing::Flat { .. } => 0,
             Backing::Cow { dirty, .. } => *dirty,
         }
     }
@@ -223,36 +262,51 @@ impl PhysMem {
 
     /// Contents of window `w`, clipped to the memory size: the stored
     /// words, then how many further words read as zero because they
-    /// lie past the end of a copy-on-write base image.
+    /// lie past the filled prefix of a flat memory or past the end of a
+    /// copy-on-write base image.
     fn window(&self, w: usize) -> (&[Word], usize) {
         let lo = w * COW_PAGE_WORDS;
         let hi = (lo + COW_PAGE_WORDS).min(self.size());
-        match &self.backing {
-            Backing::Flat(words) => (&words[lo..hi], 0),
+        let stored = match &self.backing {
+            Backing::Flat { words, .. } => words,
             Backing::Cow { base, pages, .. } => match &pages[w] {
-                Some(page) => (&page[..hi - lo], 0),
-                None => {
-                    let stored = &base[lo.min(base.len())..hi.min(base.len())];
-                    (stored, hi - lo - stored.len())
-                }
+                Some(page) => return (&page[..hi - lo], 0),
+                None => base.as_slice(),
             },
-        }
+        };
+        let stored = &stored[lo.min(stored.len())..hi.min(stored.len())];
+        (stored, hi - lo - stored.len())
     }
 
-    /// Turns the memory into a shared read-only image of its contents,
-    /// suitable for [`PhysMem::cow`]. A flat array becomes the image
-    /// without a copy; a copy-on-write view is flattened.
-    pub fn freeze_base(self) -> Arc<Vec<Word>> {
-        if let Backing::Flat(words) = self.backing {
-            return Arc::new(words);
-        }
-        let mut image = Vec::with_capacity(self.size());
-        for w in 0..self.windows() {
-            let (stored, zeros) = self.window(w);
-            image.extend_from_slice(stored);
-            image.resize(image.len() + zeros, Word::ZERO);
-        }
-        Arc::new(image)
+    /// Freezes the contents into a shared read-only image, suitable for
+    /// [`PhysMem::cow`] with the same size, and turns this memory into a
+    /// clean copy-on-write view over that image (counters, poison and
+    /// high-water mark kept; no dirty pages). A flat memory hands over
+    /// its filled prefix without a copy — the image may be shorter than
+    /// the memory, and the rest reads as zero; a copy-on-write view is
+    /// flattened.
+    pub fn freeze_base(&mut self) -> Arc<Vec<Word>> {
+        let size = self.size();
+        let image = match &mut self.backing {
+            Backing::Flat { words, .. } => std::mem::take(words),
+            Backing::Cow { .. } => {
+                let mut image = Vec::with_capacity(size);
+                for w in 0..self.windows() {
+                    let (stored, zeros) = self.window(w);
+                    image.extend_from_slice(stored);
+                    image.resize(image.len() + zeros, Word::ZERO);
+                }
+                image
+            }
+        };
+        let image = Arc::new(image);
+        self.backing = Backing::Cow {
+            base: Arc::clone(&image),
+            size,
+            pages: vec![None; size.div_ceil(COW_PAGE_WORDS)],
+            dirty: 0,
+        };
+        image
     }
 
     /// Reads the word at `addr`. A counted read is parity-checked: a
@@ -385,24 +439,33 @@ impl PhysMem {
             .retain(|abs| !(lo as u32..hi as u32).contains(abs));
         let cleared = self.poisoned.len() != poisoned;
         match &mut self.backing {
-            Backing::Flat(stored) => stored[lo..hi].copy_from_slice(words),
+            Backing::Flat {
+                words: stored,
+                size,
+            } => {
+                fill_to(stored, *size, hi);
+                stored[lo..hi].copy_from_slice(words);
+            }
             Backing::Cow {
                 base, pages, dirty, ..
             } => {
                 let (w, off) = (lo / COW_PAGE_WORDS, lo % COW_PAGE_WORDS);
-                if pages[w].is_none() {
-                    let shown = &base[lo.min(base.len())..hi.min(base.len())];
-                    let (over_base, past_base) = words.split_at(shown.len());
-                    if !cleared && over_base == shown && past_base.iter().all(|v| *v == Word::ZERO)
-                    {
-                        return;
+                let page = match &mut pages[w] {
+                    Some(page) => page,
+                    slot @ None => {
+                        let shown = &base[lo.min(base.len())..hi.min(base.len())];
+                        let (over_base, past_base) = words.split_at(shown.len());
+                        if !cleared
+                            && over_base == shown
+                            && past_base.iter().all(|v| *v == Word::ZERO)
+                        {
+                            return;
+                        }
+                        *dirty += 1;
+                        slot.insert(copy_window(base, w))
                     }
-                    pages[w] = Some(copy_window(base, w));
-                    *dirty += 1;
-                }
-                if let Some(page) = pages[w].as_mut() {
-                    page[off..off + words.len()].copy_from_slice(words);
-                }
+                };
+                Arc::make_mut(page)[off..off + words.len()].copy_from_slice(words);
             }
         }
     }
@@ -444,9 +507,12 @@ impl PhysMem {
     /// sharing is over.
     pub fn zero_all(&mut self) {
         match &mut self.backing {
-            Backing::Flat(words) => words.fill(Word::ZERO),
+            Backing::Flat { words, .. } => words.clear(),
             Backing::Cow { size, .. } => {
-                self.backing = Backing::Flat(vec![Word::ZERO; *size]);
+                self.backing = Backing::Flat {
+                    words: Vec::with_capacity(*size),
+                    size: *size,
+                };
             }
         }
     }
@@ -771,7 +837,7 @@ mod tests {
         flat.poke(AbsAddr::new(2999).unwrap(), Word::new(0o17))
             .unwrap();
         let image = flat.clone().freeze_base();
-        assert_eq!(image.len(), 3000);
+        assert_eq!(image.len(), 3000, "the filled prefix, window by window");
         let m = PhysMem::cow(image, 3000);
         assert_eq!(m.peek(AbsAddr::new(7).unwrap()).unwrap(), Word::new(0o70));
         assert_eq!(
@@ -787,6 +853,8 @@ mod tests {
         let mut m = PhysMem::cow(base, 3000);
         m.poke(AbsAddr::new(1040).unwrap(), Word::new(6)).unwrap();
         let refrozen = m.freeze_base();
+        assert_eq!((m.dirty_pages(), m.high_water()), (0, 1041));
+        assert_eq!(m.peek(AbsAddr::new(1040).unwrap()).unwrap(), Word::new(6));
         assert_eq!(refrozen.len(), 3000, "words past the base freeze as zero");
         assert_eq!(refrozen[1], Word::new(5));
         assert_eq!(refrozen[1023], Word::new(7));

@@ -273,6 +273,11 @@ impl Translator {
         self.tlb.stats()
     }
 
+    /// Overwrites the lookaside statistics (checkpoint restore).
+    pub fn restore_tlb_stats(&mut self, stats: TlbStats) {
+        self.tlb.restore_stats(stats);
+    }
+
     /// Disables the fast path for one segment (graceful degradation
     /// after repeated corruption). Existing lookaside entries for the
     /// segment are dropped.
